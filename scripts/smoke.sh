@@ -28,12 +28,13 @@ timeout "${CHAOS_TIMEOUT}" python scripts/chaos.py run \
     --fault storm --trials 1 --requests 8 --seed 0
 
 echo "== catalog ingest + trend round-trip =="
-# The durable catalog must file every shipped timing artifact and
-# reproduce the speedup trajectory from SQLite (idempotent: a stale
-# smoke DB from a previous run is removed first).
+# The durable catalog must file every shipped timing artifact (the
+# committed benchmarks/reference set) and reproduce the speedup
+# trajectory from SQLite (idempotent: a stale smoke DB from a previous
+# run is removed first).
 SMOKE_CATALOG_DB="$(mktemp -d)/catalog.sqlite"
 python scripts/catalog.py --db "${SMOKE_CATALOG_DB}" \
-    ingest benchmarks/artifacts
+    ingest benchmarks/reference
 python scripts/catalog.py --db "${SMOKE_CATALOG_DB}" trend
 rm -rf "$(dirname "${SMOKE_CATALOG_DB}")"
 

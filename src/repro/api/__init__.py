@@ -63,11 +63,20 @@ from repro.api.pipeline import (
     build_pipeline,
     build_qualifier,
 )
-from repro.serving import (
-    PendingResult,
-    PipelineServer,
-    ServerStats,
-)
+
+#: Serving symbols re-exported on first access: ``repro.serving``
+#: imports ``repro.api.config``, so an eager import here would make
+#: ``import repro.serving`` circular in a fresh interpreter.
+_SERVING_EXPORTS = ("PendingResult", "PipelineServer", "ServerStats")
+
+
+def __getattr__(name: str):
+    if name in _SERVING_EXPORTS:
+        import repro.serving
+
+        return getattr(repro.serving, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Architecture",

@@ -5,9 +5,9 @@ The forward pass exposes its arithmetic in two forms:
 * :meth:`Conv2D.forward` -- vectorised im2col/GEMM path used for
   training and fast inference ("native execution" in the paper's
   Table 1 terminology);
-* :func:`conv2d_patches` / :meth:`Conv2D.input_patches` -- the patch
-  view that :mod:`repro.reliable` iterates over to run the paper's
-  Algorithm 3 one multiply-accumulate at a time.
+* :meth:`Conv2D.input_patches` -- the patch view that
+  :mod:`repro.reliable` iterates over to run the paper's Algorithm 3
+  one multiply-accumulate at a time.
 """
 
 from __future__ import annotations

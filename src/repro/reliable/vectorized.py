@@ -9,11 +9,12 @@ abort -- while moving the arithmetic where the hardware wants it, the
 SIHFT way (duplicate in bulk, check in bulk, repair only where the
 check fires):
 
-1. **Speculate.** Run the whole im2col GEMM ``executions_per_op``
+1. **Speculate.** Run the layer's dot products ``executions_per_op``
    times as NumPy array passes through an
    :class:`~repro.reliable.execution_unit.ArrayExecutionUnit` (DMR =
-   2 passes, TMR = 3).  Accumulation is tap-sequential, so every
-   output element's float chain is exactly the scalar path's chain.
+   2 passes, TMR = 3), each tap read as a strided view of the padded
+   input.  Accumulation is tap-sequential, so every output element's
+   float chain is exactly the scalar path's chain.
    A *deterministic* unit provably repeats the same words on every
    pass, so one pass stands in for all of them
    (:func:`_speculative_passes`) -- that is what makes the exact mode
@@ -65,6 +66,7 @@ import time
 
 import numpy as np
 
+from repro.nn.layers.conv import pad_nchw
 from repro.reliable.bits import word_view
 from repro.reliable.convolution import ConvolutionStats, reliable_convolution
 from repro.reliable.errors import PersistentFailureError
@@ -110,29 +112,29 @@ def speculation_is_exact(operator: Operator) -> bool:
     return unit is not None and unit.deterministic
 
 
-def _tap_major(patches: np.ndarray) -> np.ndarray:
-    """``(n, oh, ow, L)`` patches as contiguous float64
-    ``(L, n, oh, ow)``.
-
-    The per-tap slice the speculative pass broadcasts is then a
-    contiguous view instead of a strided gather, which is where a
-    large-batch pass spends most of its time.  Pure layout change:
-    every element holds the same word, so the accumulation chain is
-    untouched.
-    """
-    return patches.transpose(3, 0, 1, 2).astype(np.float64)
+def _tap_views(layer, x, out_h: int, out_w: int) -> list[np.ndarray]:
+    """The L per-tap float64 operands ``(n, out_h, out_w)``, in im2col
+    tap order ``(c, kh, kw)``, as strided views of the padded input:
+    the im2col patch words (float32 -> float64 is exact), no copy."""
+    k, s = layer.kernel_size, layer.stride
+    x32 = np.asarray(x, dtype=np.float32)
+    xp64 = pad_nchw(x32, layer.padding).astype(np.float64)
+    return [
+        xp64[:, c, u : u + s * out_h : s, v : v + s * out_w : s]
+        for c, u, v in np.ndindex(layer.in_channels, k, k)
+    ]
 
 
 def _speculative_pass(
-    patches_t: np.ndarray,
+    taps,
     weights: np.ndarray,
     bias: np.ndarray,
     unit: ArrayExecutionUnit,
 ) -> np.ndarray:
     """One full redundant execution of the reliable partition.
 
-    ``patches_t`` is tap-major ``(L, n, oh, ow)`` float64 (see
-    :func:`_tap_major`), ``weights`` ``(F, L)``, ``bias`` ``(F,)``.
+    ``taps`` holds the L per-tap ``(n, oh, ow)`` float64 operands
+    (:func:`_tap_views`), ``weights`` ``(F, L)``, ``bias`` ``(F,)``.
     Accumulates tap-by-tap -- the vectorisation is across output
     elements, never across the reduction, so each element's operation
     chain (L multiplies, L accumulates, one bias add, in order)
@@ -140,17 +142,16 @@ def _speculative_pass(
     accumulator and product scratch are allocated once and offered to
     the unit via the ``out`` hint (value-identical either way; see
     :class:`~repro.reliable.execution_unit.ArrayExecutionUnit`).
-    Returns ``(n, F, oh, ow)`` float64.
+    Returns ``(n, F, oh, ow)`` float64; with ``L == 0``, just the bias.
     """
-    taps, n, oh, ow = patches_t.shape
-    n_filters = weights.shape[0]
-    acc = np.zeros((n, n_filters, oh, ow), dtype=np.float64)
+    n, oh, ow = np.broadcast_shapes((1, 1, 1), *(t.shape for t in taps))
+    acc = np.zeros((n, weights.shape[0], oh, ow), dtype=np.float64)
     scratch = np.empty_like(acc)
     with np.errstate(
         over="ignore", invalid="ignore", divide="ignore", under="ignore"
     ):
-        for t in range(taps):
-            xt = patches_t[t][:, None]                # (n, 1, oh, ow)
+        for t, tap in enumerate(taps):
+            xt = tap[:, None]                         # (n, 1, oh, ow)
             wt = weights[:, t][None, :, None, None]   # (1, F, 1, 1)
             acc = unit.add(
                 acc, unit.multiply(xt, wt, out=scratch), out=acc
@@ -159,7 +160,7 @@ def _speculative_pass(
 
 
 def _speculative_passes(
-    patches_t: np.ndarray,
+    taps,
     weights: np.ndarray,
     bias: np.ndarray,
     unit: ArrayExecutionUnit,
@@ -179,7 +180,7 @@ def _speculative_passes(
     """
     n_passes = 1 if unit.deterministic else operator.executions_per_op
     return [
-        _speculative_pass(patches_t, weights, bias, unit)
+        _speculative_pass(taps, weights, bias, unit)
         for _ in range(n_passes)
     ]
 
@@ -238,12 +239,10 @@ def speculative_forward(
         executor._fill_report(report, stats, start)
         return out, report
 
-    patches_t = _tap_major(patches)
+    views = _tap_views(executor.layer, x, out_h, out_w)
     weights64 = wmat[sorted_filters].astype(np.float64)
     bias64 = bias[sorted_filters].astype(np.float64)
-    passes = _speculative_passes(
-        patches_t, weights64, bias64, unit, operator
-    )
+    passes = _speculative_passes(views, weights64, bias64, unit, operator)
     value, disagree = _verify(passes)
     # Store through the same float64 -> float32 cast as the scalar
     # per-element assignment; sNaN carriers signal "invalid" on the
@@ -384,10 +383,10 @@ def vectorized_reliable_convolution(
         )
     bucket = bucket if bucket is not None else LeakyBucket()
     stats = stats if stats is not None else ConvolutionStats()
-    patches_t = _tap_major(patch.reshape(1, 1, 1, -1))
-    wrow = weights.reshape(1, -1)
-    brow = np.asarray([bias], dtype=np.float64)
-    passes = _speculative_passes(patches_t, wrow, brow, unit, operator)
+    passes = _speculative_passes(
+        patch.reshape(-1, 1, 1, 1), weights.reshape(1, -1),
+        np.asarray([bias], dtype=np.float64), unit, operator,
+    )
     value, disagree = _verify(passes)
     ops = 2 * patch.size + 1
     if not disagree[0, 0, 0, 0]:

@@ -228,16 +228,16 @@ def test_cli_reports_invalid_files_without_dying(tmp_path, capsys):
 
 def test_cli_trend_reproduces_shipped_artifacts(tmp_path, capsys):
     """The acceptance loop on the real repo artifacts: every shipped
-    timing JSON's speedup columns must come back, value-exact, from
-    ``catalog.py trend``."""
+    timing JSON (the committed ``benchmarks/reference`` set) must have
+    its speedup columns come back, value-exact, from ``catalog.py
+    trend``."""
     from pathlib import Path
 
-    shipped = sorted(Path("benchmarks/artifacts").glob("*.json"))
+    reference = Path(__file__).resolve().parents[2] / "benchmarks/reference"
+    shipped = sorted(reference.glob("*.json"))
     assert shipped, "no shipped timing artifacts found"
     db = str(tmp_path / "catalog.sqlite")
-    assert catalog_main(
-        ["--db", db, "ingest", "benchmarks/artifacts"]
-    ) == 0
+    assert catalog_main(["--db", db, "ingest", str(reference)]) == 0
     capsys.readouterr()
     assert catalog_main(["--db", db, "--json", "trend"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

@@ -24,6 +24,18 @@ from benchmarks.timing_schema import (
 REPO = Path(__file__).resolve().parents[2]
 BENCH_DIR = REPO / "benchmarks"
 
+#: CI-uploaded timing artifact -> the bench that writes it.
+UPLOADED_ARTIFACTS = {
+    "reliable_vectorized_timing.json": "test_reliable_vectorized.py",
+    "qualifier_throughput_timing.json": "test_qualifier_throughput.py",
+    "serving_throughput_timing.json": "test_serving_throughput.py",
+    "integrated_serving_throughput_timing.json":
+        "test_serving_throughput.py",
+    "integrated_infer_batch_timing.json": "test_serving_throughput.py",
+    "cache_throughput_timing.json": "test_cache_throughput.py",
+    "integrated_cache_throughput_timing.json": "test_cache_throughput.py",
+}
+
 VALID_PAYLOAD = {
     "bench": "example",
     "batch": 64,
@@ -109,51 +121,19 @@ def test_benches_cover_the_uploaded_artifacts():
     through the shared writer (the serving bench emits one per
     architecture now that the ``parallel`` pin is gone, plus the
     integrated ``infer_batch`` bar)."""
-    expected = {
-        "reliable_vectorized_timing.json":
-            "test_reliable_vectorized.py",
-        "qualifier_throughput_timing.json":
-            "test_qualifier_throughput.py",
-        "serving_throughput_timing.json":
-            "test_serving_throughput.py",
-        "integrated_serving_throughput_timing.json":
-            "test_serving_throughput.py",
-        "integrated_infer_batch_timing.json":
-            "test_serving_throughput.py",
-        "cache_throughput_timing.json":
-            "test_cache_throughput.py",
-        "integrated_cache_throughput_timing.json":
-            "test_cache_throughput.py",
-    }
-    for artifact, bench in expected.items():
+    for artifact, bench in UPLOADED_ARTIFACTS.items():
         source = (BENCH_DIR / bench).read_text()
         assert artifact in source, (bench, artifact)
         assert "write_timing_artifact" in source, bench
 
 
 def test_existing_artifacts_on_disk_conform():
-    """Any artifact a current bench run left behind must parse and
-    validate -- catching schema drift the moment it lands.
-
-    Artifacts written before the shared schema existed lack the
-    ``"batch"`` key (nothing emitted one); those are *stale*, not
-    drifted -- the validating writer cannot produce them anymore -- so
-    they are reported via skip rather than failing a clean checkout
-    that merely carries old local bench output.
-    """
-    artifact_dir = BENCH_DIR / "artifacts"
-    if not artifact_dir.is_dir():
-        pytest.skip("no local artifacts directory")
-    stale = []
-    for path in sorted(artifact_dir.glob("*.json")):
-        payload = json.loads(path.read_text())
-        errors = validate_timing_payload(payload)
-        if errors and "batch" not in payload:
-            stale.append(path.name)
-            continue
+    """The committed reference artifacts (``benchmarks/reference``)
+    must parse and validate -- catching schema drift the moment it
+    lands -- and cover every CI-uploaded artifact name."""
+    shipped = sorted((BENCH_DIR / "reference").glob("*.json"))
+    assert shipped, "no committed reference artifacts"
+    for path in shipped:
+        errors = validate_timing_payload(json.loads(path.read_text()))
         assert errors == [], (path.name, errors)
-    if stale:
-        pytest.skip(
-            "pre-schema artifacts present (re-run benchmarks to "
-            f"refresh): {stale}"
-        )
+    assert {path.name for path in shipped} >= set(UPLOADED_ARTIFACTS)

@@ -12,6 +12,8 @@ checks the stochastic-injection and fallback behaviours separately.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from repro.faults.models import PermanentFault, TransientFault
 from repro.nn import Conv2D
 from repro.reliable.errors import PersistentFailureError
 from repro.reliable.execution_unit import (
+    ExecutionUnit,
     Float32ExecutionUnit,
+    Float64ArrayUnit,
     PerfectExecutionUnit,
     as_array_unit,
 )
@@ -104,6 +108,29 @@ class TestExactParity:
             bucket_ceiling=50,
         ).forward(batch, filters=filters)
         _assert_bitwise(scalar, vectorized, (op_name, unit_name, filters))
+
+    @pytest.mark.parametrize("op_name", sorted(OPERATOR_CLASSES))
+    @pytest.mark.parametrize("unit_name", sorted(_units()))
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_geometries_bitwise_identical(
+        self, op_name, unit_name, stride, padding
+    ):
+        """Strided, padded, non-square, 3-channel convolutions: the
+        per-tap views of the padded input must pick exactly the
+        im2col patch words."""
+        rng = np.random.default_rng(7)
+        conv = Conv2D(3, 3, 3, stride=stride, padding=padding, rng=rng)
+        batch = rng.standard_normal((2, 3, 7, 9)).astype(np.float32)
+        op_cls = OPERATOR_CLASSES[op_name]
+        runs = [
+            ReliableConv2D(
+                conv, op_cls(_units()[unit_name]), engine=engine,
+                bucket_ceiling=50,
+            ).forward(batch, filters=[0, 2])
+            for engine in ("scalar", "vectorized")
+        ]
+        _assert_bitwise(*runs, (op_name, unit_name, stride, padding))
 
     @pytest.mark.parametrize("op_name", sorted(OPERATOR_CLASSES))
     def test_single_image_matches_batch_slice(self, conv, batch, op_name):
@@ -195,6 +222,116 @@ class TestStochasticInjection:
         executor = ReliableConv2D(conv, operator, engine="vectorized")
         with pytest.raises(PersistentFailureError):
             executor.forward(batch)
+
+
+class TestPinnedFaultStream:
+    """Seeded transient-fault runs pinned to recorded digests: the
+    speculative passes must keep making the same fault draws, in the
+    same order and call shapes, so a change to how the pass reads its
+    operands cannot resample the fault process."""
+
+    #: (operator, probability, seed, in_channels, stride, padding,
+    #: (h, w), filters) -> (sha256 of output bytes, counters, number of
+    #: failed outputs, sha256 of repr(_report_key)).
+    PINS = {
+        ("dmr", 0.01, 3, 2, 1, 0, (6, 6), None): (
+            "2f11867f06a288864456a5cfb1159ea92373cbe3d518be3b8673cb1eeaa3644b",
+            (3501, 95, 91, 4), 4,
+            "d56d3f7f9e38fdade811427f5a47c7af44e4f7f05776a1f3899c6e08a40d192e",
+        ),
+        ("tmr", 0.01, 3, 2, 1, 0, (6, 6), None): (
+            "1c7adae4fcfeeda5d2d020ecb662cdfb6f7e9bfc24195aef2ff946350bae7066",
+            (3578, 26, 26, 0), 0,
+            "7997773e2c4d49c9cdd44655e0a93951f9b721e64f9c88577e65a7125096e472",
+        ),
+        ("dmr", 0.9, 4, 2, 1, 0, (6, 6), (0,)): (
+            "f0f4621d56bcb900d59789bb9747bb9ea4963cac3a4cad713e4e71a2233a8103",
+            (65, 64, 32, 32), 32,
+            "d929235ec04c29dc2d9c93b2224bd6f6d5f850960aff2ed8f59e7c49eb0f54f9",
+        ),
+        ("tmr", 0.9, 4, 2, 1, 0, (6, 6), (0,)): (
+            "f0f4621d56bcb900d59789bb9747bb9ea4963cac3a4cad713e4e71a2233a8103",
+            (67, 64, 32, 32), 32,
+            "48827ed05f2136b4c26f48137df8781e890331cffd3ae0119203208956277936",
+        ),
+        ("dmr", 0.02, 6, 3, 2, 2, (7, 9), None): (
+            "829352b74affd3d245b579d7795a2c9b27904a9a1efadc452d3d3b8cb1e34ecf",
+            (8628, 408, 368, 40), 40,
+            "e3478bdebe3a30094567fe08a0478916480e18d146ab7980c210639072dd7ca0",
+        ),
+        ("tmr", 0.02, 6, 3, 2, 2, (7, 9), (1, 2)): (
+            "fe8c533c3b51e87b5a9615375add91e5583426ac4dd1b441282fd323f4c43786",
+            (6672, 72, 72, 0), 0,
+            "f1b812e3ae5da92ab829b6852b8830645a8e76325040d744cee220f339dc9f3a",
+        ),
+    }
+
+    @staticmethod
+    def _run(case):
+        op_name, probability, seed, c, stride, padding, (h, w), filters = (
+            case
+        )
+        rng = np.random.default_rng(2024)
+        conv = Conv2D(c, 3, 3, stride=stride, padding=padding, rng=rng)
+        batch = rng.standard_normal((2, c, h, w)).astype(np.float32)
+        operator = OPERATOR_CLASSES[op_name](
+            FaultyExecutionUnit(
+                TransientFault(probability, np.random.default_rng(seed))
+            )
+        )
+        return ReliableConv2D(
+            conv, operator, engine="vectorized",
+            on_persistent_failure="mark",
+        ).forward(batch, filters=None if filters is None else list(filters))
+
+    @pytest.mark.parametrize("case", sorted(PINS, key=repr), ids=repr)
+    def test_stream_matches_pin(self, case):
+        out, report = self._run(case)
+        key = _report_key(report)
+        digest, counters, n_failed, key_digest = self.PINS[case]
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+        assert key[:4] == counters
+        assert len(key[4]) == n_failed
+        assert hashlib.sha256(repr(key).encode()).hexdigest() == key_digest
+
+
+class _RecordingArrayUnit(Float64ArrayUnit):
+    def __init__(self, log):
+        self.log = log
+
+    def multiply(self, a, b, out=None):
+        self.log.append(a)
+        return super().multiply(a, b, out=out)
+
+
+class _RecordingUnit(ExecutionUnit):
+    """Binary64 unit whose array form logs every multiply's operands."""
+
+    def __init__(self):
+        self.multiplicands = []
+
+    def multiply(self, a, b):
+        return a * b
+
+    def add(self, a, b):
+        return a + b
+
+    def as_array_unit(self):
+        return _RecordingArrayUnit(self.multiplicands)
+
+
+class TestSpeculativeOperandLayout:
+    def test_tap_operands_are_unit_stride(self, conv, batch):
+        """A stride-1 conv's per-tap operands step one element along
+        the output row: no strided gather in the speculative pass."""
+        unit = _RecordingUnit()
+        ReliableConv2D(
+            conv, RedundantOperator(unit), engine="vectorized"
+        ).forward(batch)
+        taps = conv.in_channels * conv.kernel_size**2
+        assert len(unit.multiplicands) == taps
+        for operand in unit.multiplicands:
+            assert operand.strides[-1] == operand.itemsize
 
 
 class TestScalarFallback:
