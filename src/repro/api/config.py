@@ -191,10 +191,13 @@ class ServingConfig:
         requests.  The upper bound of the realized batch size; match
         it to the throughput sweet spot of ``infer_batch``.
     max_wait_ms:
-        Flush no later than this many milliseconds after the oldest
-        request in the forming batch -- the latency bound a
-        half-empty batch is allowed to cost.  ``0`` disables the wait
-        entirely: each flush takes only what is already queued.
+        Flush no later than this many milliseconds after the batcher
+        takes the forming batch's first request off the queue -- the
+        extra latency a half-empty batch is allowed to cost.  The wait
+        runs from that pickup, not from the request's submission:
+        time spent queued behind a busy batcher does not count.  ``0``
+        disables the wait entirely: each flush takes only what is
+        already queued.
     queue_capacity:
         Bound of the submission queue (requests accepted but not yet
         batched).  The backpressure reservoir: bigger absorbs burstier

@@ -5,10 +5,10 @@ contract as data, in the class body::
 
     class PipelineServer:
         #: attributes only touched under the named lock
-        _guarded_by = {"_state_lock": ("_accepting", "_draining", "_thread")}
+        _guarded_by = {"_cond": ("_state", "_pending", "_thread")}
 
 The rule then enforces it lexically: every load/store of a guarded
-attribute through ``self`` must sit inside ``with self._state_lock:``.
+attribute through ``self`` must sit inside ``with self._cond:``.
 ``__init__``/``__del__`` are exempt (the object is not yet / no longer
 shared).  Deliberate unlocked accesses -- optimistic gate reads,
 single-writer flags -- are exactly the places that deserve a written

@@ -7,7 +7,9 @@ real traffic arrives one image per request.  :class:`PipelineServer`
 accepts single-image submissions from any number of client threads and
 transparently coalesces them into ``infer_batch`` calls -- flushing on
 whichever comes first, ``max_batch`` requests or ``max_wait_ms``
-elapsed since the oldest queued request.
+elapsed since the batcher took the forming batch's first request off
+the queue (time a request spent queued behind a busy batcher does not
+count against the wait).
 
 The load-bearing guarantee is **parity, not just speed**: every
 per-request result is bitwise identical to what a serial
@@ -24,14 +26,17 @@ concurrent ``infer_batch`` calls -- the model's batch-invariant mode is
 toggled around each call and the qualifier's rollback machinery is
 stateful, so a second in-flight call could observe half-configured
 layers.  Micro-batching, not thread parallelism, is where the
-throughput comes from.
+throughput comes from.  The lifecycle state, the pending-request queue
+and the batcher thread handle sit behind one condition variable, so a
+submission and a state change can never interleave.
 """
 
 from __future__ import annotations
 
-import queue
+import enum
 import threading
 import time
+from collections import deque
 from collections.abc import Callable
 
 import numpy as np
@@ -74,7 +79,8 @@ class PendingResult:
     The batcher completes it exactly once -- with a
     :class:`~repro.core.hybrid.HybridResult`, or with the exception the
     pipeline raised, or with :class:`ServerClosed` if the server was
-    stopped without draining.
+    stopped without draining, or with :class:`ServerError` if the
+    batcher died.
     """
 
     __slots__ = ("_event", "_result", "_error", "_submitted_at",
@@ -139,11 +145,26 @@ class _Request:
         self.qualifier_view = qualifier_view
         self.pending = pending
         #: Set only on a cache *leader*: the key whose single flight
-        #: this request carries.  Every completion path (flush,
-        #: failure demux, cancel, batcher crash) must close the flight
-        #: -- publish on success, abort otherwise -- so joined
+        #: this request carries.  The flight is closed exactly where
+        #: the request settles -- published by a successful flush,
+        #: aborted by :meth:`PipelineServer._fail` -- so joined
         #: followers never hang.
         self.cache_key: tuple[str, str] | None = None
+
+
+class _State(str, enum.Enum):
+    """Lifecycle of a :class:`PipelineServer`.
+
+    ``RUNNING -> DRAINING | STOPPING -> STOPPED``, plus ``DEAD`` when
+    the batcher thread dies; ``start()`` leaves STOPPED or DEAD for
+    RUNNING.  Only RUNNING accepts submissions.
+    """
+
+    RUNNING = "running"
+    DRAINING = "draining"
+    STOPPING = "stopping"
+    STOPPED = "stopped"
+    DEAD = "dead"
 
 
 class PipelineServer:
@@ -178,21 +199,18 @@ class PipelineServer:
     """
 
     #: Thread-safety contract, machine-checked by the LOCK-GUARD lint
-    #: rule: these attributes are written only under ``_state_lock``.
-    #: The deliberate lock-free *reads* (optimistic gates on the
-    #: submit/batcher hot paths) each carry an allow pragma with the
-    #: reasoning.  ``_inflight`` is not listed: it is owned by the
-    #: batcher thread alone (its crash handler included).
-    _guarded_by = {"_state_lock": ("_accepting", "_draining", "_thread")}
+    #: rule: the lifecycle state, the pending-request queue and the
+    #: batcher thread handle are read and written only under ``_cond``.
+    _guarded_by = {"_cond": ("_state", "_pending", "_thread")}
 
-    #: Helpers extracted from locked regions.  Declaring the lock they
-    #: need keeps them honest both ways: the lexical LOCK-GUARD rule
-    #: checks their guarded-attribute accesses as if the lock were
-    #: held, and the project pass (LOCK-CALL) verifies every call site
-    #: actually holds it.
+    #: Helpers that run inside a ``with self._cond`` block (or as its
+    #: ``wait_for`` predicate).  The lexical LOCK-GUARD rule checks them
+    #: as if the lock were held, and the project pass (LOCK-CALL)
+    #: verifies every call site actually holds it.
     _requires_lock = {
-        "_launch_batcher": ("_state_lock",),
-        "_close_intake": ("_state_lock",),
+        "_has_work": ("_cond",),
+        "_has_room_or_closed": ("_cond",),
+        "_enqueue": ("_cond",),
     }
 
     def __init__(
@@ -204,9 +222,6 @@ class PipelineServer:
         self.pipeline = pipeline
         self.config = config or ServingConfig()
         self.on_degraded = on_degraded
-        self._queue: queue.Queue[_Request | None] = queue.Queue(
-            maxsize=self.config.queue_capacity
-        )
         self._recorder = StatsRecorder(self.config.latency_window)
         #: Content-addressed response cache (None under cache="off").
         #: Safe because served results are bitwise-deterministic per
@@ -226,83 +241,63 @@ class PipelineServer:
             self._cache = ResponseCache(
                 self.config.cache_max_entries, config_hash=content_hash
             )
+        self._cond = threading.Condition()
+        self._state = _State.STOPPED
+        #: Accepted requests the batcher has not taken yet, bounded by
+        #: ``queue_capacity``.
+        self._pending: deque[_Request] = deque()
         self._thread: threading.Thread | None = None
-        self._accepting = False
-        self._draining = True
-        self._state_lock = threading.Lock()
-        #: Requests popped from the queue but not yet demuxed; the
-        #: batcher's crash handler fails these so no handle ever
-        #: hangs on a dead thread.
-        self._inflight: list[_Request] = []
 
     # -- lifecycle -------------------------------------------------------
     @property
     def running(self) -> bool:
-        """True between a successful ``start()`` and ``stop()``."""
-        # repro: allow[LOCK-GUARD] -- single racy snapshot read; any
-        # answer is stale the moment it returns, lock or no lock, and
-        # is_alive() tolerates a thread in any state.
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+        """True from ``start()`` until the batcher exits (after
+        ``stop()``, or when it dies)."""
+        with self._cond:
+            return self._state not in (_State.STOPPED, _State.DEAD)
 
     def start(self) -> PipelineServer:
         """Launch the batcher thread; idempotence is an error (a
         second ``start`` on a running server raises)."""
-        with self._state_lock:
-            if self.running:
+        with self._cond:
+            if self._state not in (_State.STOPPED, _State.DEAD):
                 raise ServerError("server already running")
-            self._launch_batcher()
+            self._state = _State.RUNNING
+            self._thread = threading.Thread(
+                target=self._serve_loop,
+                name="pipeline-server-batcher",
+                daemon=True,
+            )
+            self._recorder.mark_started()
+            self._thread.start()
         return self
-
-    def _launch_batcher(self) -> None:
-        """Arm the intake gates and start the batcher thread."""
-        self._draining = True
-        self._thread = threading.Thread(
-            target=self._serve_loop,
-            name="pipeline-server-batcher",
-            daemon=True,
-        )
-        self._accepting = True
-        self._recorder.mark_started()
-        self._thread.start()
 
     def stop(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop accepting work and shut the batcher down.
 
         ``drain=True`` (default) serves every already-queued request
         before returning; ``drain=False`` fails queued requests with
-        :class:`ServerClosed`.  Calling stop on a stopped server is a
+        :class:`ServerClosed`.  Either way a ``submit`` still waiting
+        for queue room raises :class:`ServerClosed` and is never
+        counted as submitted.  Calling stop on a stopped server is a
         no-op.
         """
-        with self._state_lock:
+        with self._cond:
             thread = self._thread
             if thread is None:
                 return
-            self._close_intake(drain)
+            if self._state is _State.RUNNING:
+                self._state = _State.DRAINING if drain else _State.STOPPING
+                self._cond.notify_all()
         thread.join(timeout)
         if thread.is_alive():
             raise ServerError(
                 f"batcher did not stop within {timeout} s"
             )
-        with self._state_lock:
-            self._thread = None
-        # Fail any stragglers that raced past the closed gate after
-        # the batcher's final drain, so no PendingResult ever hangs.
-        self._cancel_remaining()
-        self._recorder.mark_stopped()
-
-    def _close_intake(self, drain: bool) -> None:
-        """Close the submission gate and nudge the batcher awake."""
-        self._accepting = False
-        self._draining = drain
-        try:
-            # Sentinel unblocks the batcher's blocking get.  A full
-            # queue can refuse it; the batcher then notices
-            # ``_accepting`` on its own (it re-checks around every
-            # flush and idle poll), so stop still terminates.
-            self._queue.put_nowait(None)
-        except queue.Full:
-            pass
+        with self._cond:
+            if self._thread is thread:  # not restarted meanwhile
+                self._thread = None
+                self._state = _State.STOPPED
 
     def __enter__(self) -> PipelineServer:
         return self.start()
@@ -341,14 +336,9 @@ class PipelineServer:
         queue blocks the caller up to ``submit_timeout_s`` (forever
         when None) and then raises :class:`ServerOverloaded`; with
         ``"reject"`` a full queue raises immediately.  Either way the
-        rejection is counted in :meth:`stats`.
+        rejection is counted in :meth:`stats`.  A blocked caller whose
+        server stops (or dies) meanwhile raises :class:`ServerClosed`.
         """
-        # repro: allow[LOCK-GUARD] -- optimistic gate: a GIL-atomic
-        # bool read; the post-enqueue re-check below (plus stop()'s
-        # final _cancel_remaining) closes the race window, so taking
-        # the lock here would buy nothing but submit-path contention.
-        if not self._accepting:
-            raise ServerClosed("server is not accepting submissions")
         raw_image = np.asarray(image)
         raw_view = (
             None if qualifier_view is None else np.asarray(qualifier_view)
@@ -360,71 +350,82 @@ class PipelineServer:
             else np.asarray(raw_view, dtype=np.float32),
             PendingResult(),
         )
-        if self._cache is not None and use_cache:
-            # Key over the *submitted* storage words (pre-cast): any
-            # bit difference in what the caller handed us keys
-            # distinctly, so the cache can only under-share.
-            key = self._cache.key_for(raw_image, raw_view)
-            outcome, cached = self._cache.lookup_or_join(
-                key, request.pending
+        # Key over the *submitted* storage words (pre-cast): any bit
+        # difference in what the caller handed us keys distinctly, so
+        # the cache can only under-share.
+        key = (
+            self._cache.key_for(raw_image, raw_view)
+            if self._cache is not None and use_cache
+            else None
+        )
+        with self._cond:
+            if self._state is not _State.RUNNING:
+                raise ServerClosed("server is not accepting submissions")
+            outcome, cached = "uncached", None
+            if key is not None:
+                outcome, cached = self._cache.lookup_or_join(
+                    key, request.pending
+                )
+                if outcome == "lead":
+                    request.cache_key = key
+                    self._recorder.record_cache_miss()
+            if outcome in ("lead", "uncached"):
+                self._enqueue(request)
+            self._recorder.record_submitted()
+        if outcome == "joined":
+            self._recorder.record_coalesced_join()
+        elif outcome == "hit":
+            flagged = bool(getattr(cached, "flagged", False))
+            if flagged:
+                self._route_degraded(cached)
+            request.pending._complete(cached)
+            self._recorder.record_cache_hit(
+                request.pending.latency_seconds, degraded=flagged
             )
-            if outcome == "hit":
-                self._recorder.record_submitted()
-                flagged = bool(getattr(cached, "flagged", False))
-                if flagged:
-                    self._route_degraded(cached)
-                request.pending._complete(cached)
-                self._recorder.record_cache_hit(
-                    request.pending.latency_seconds, degraded=flagged
-                )
-                return request.pending
-            if outcome == "joined":
-                self._recorder.record_submitted()
-                self._recorder.record_coalesced_join()
-                return request.pending
-            request.cache_key = key
-            self._recorder.record_cache_miss()
-        try:
-            if self.config.overflow == "reject":
-                self._queue.put_nowait(request)
-            else:
-                self._queue.put(
-                    request, timeout=self.config.submit_timeout_s
-                )
-        except queue.Full:
+        return request.pending
+
+    def _enqueue(self, request: _Request) -> None:
+        """Append ``request`` to the queue under the overflow policy,
+        or raise without accepting it."""
+        if self.config.overflow == "block":
+            self._cond.wait_for(
+                self._has_room_or_closed, self.config.submit_timeout_s
+            )
+        if self._state is not _State.RUNNING:
+            error: ServerError = ServerClosed(
+                "server stopped while the submission waited for room"
+            )
+        elif len(self._pending) >= self.config.queue_capacity:
             self._recorder.record_rejected()
-            # A refused leader must close its flight: followers that
-            # joined during the enqueue attempt fail with it.  They
-            # were already counted submitted, so they are accounted as
-            # cancelled (accepted but abandoned), not rejected.
-            refused = self._abort_cached_flight(
-                request,
-                ServerOverloaded(
-                    "coalesced onto a submission that backpressure "
-                    "refused"
-                ),
-            )
-            if refused:
-                self._recorder.record_cancelled(refused)
-            raise ServerOverloaded(
+            error = ServerOverloaded(
                 f"queue at capacity ({self.config.queue_capacity}); "
                 f"overflow policy {self.config.overflow!r}"
-            ) from None
-        self._recorder.record_submitted()
-        # repro: allow[LOCK-GUARD] -- the documented post-enqueue
-        # re-check pairing with the optimistic gate above.
-        if not self._accepting and not self.running:
-            # The server shut down while this submission was in
-            # flight; the batcher will never pop it -- fail it now
-            # rather than strand the caller on a dead queue.
-            self._cancel_remaining()
-        return request.pending
+            )
+        else:
+            self._pending.append(request)
+            self._cond.notify_all()
+            return
+        # The refused request itself was never accepted, but a cache
+        # leader may have gathered followers while it waited for room;
+        # they were, so they count as cancelled.
+        followers = self._fail(request, error) - 1
+        if followers:
+            self._recorder.record_cancelled(followers)
+        raise error
+
+    def _has_room_or_closed(self) -> bool:
+        return (
+            self._state is not _State.RUNNING
+            or len(self._pending) < self.config.queue_capacity
+        )
 
     # -- metrics ---------------------------------------------------------
     def stats(self) -> ServerStats:
         """A consistent snapshot of the server's counters."""
+        with self._cond:
+            queue_depth = len(self._pending)
         return self._recorder.snapshot(
-            self._queue.qsize(),
+            queue_depth,
             cache_entries=(
                 len(self._cache) if self._cache is not None else 0
             ),
@@ -432,159 +433,71 @@ class PipelineServer:
 
     # -- batcher ---------------------------------------------------------
     def _serve_loop(self) -> None:
+        batch: list[_Request] = []
         try:
-            self._serve_until_stopped()
+            while batch := self._next_batch():
+                self._flush(batch)
         except BaseException as error:  # noqa: BLE001 -- must not hang
             # The loop itself failed (only _flush's per-group work is
             # individually guarded -- e.g. a MemoryError while
-            # stacking a batch).  A dead batcher must not strand
-            # blocked clients: fail everything still queued so every
-            # PendingResult completes with the error instead of
-            # hanging forever.
+            # stacking a batch, or the BatcherCrash seam).  A dead
+            # batcher must not strand blocked clients: fail the batch
+            # in hand and everything queued.
             failure = ServerError(f"batcher thread died: {error!r}")
             failure.__cause__ = error
-            for request in self._inflight:
-                if not request.pending.done():
-                    request.pending._fail(failure)
-                    self._recorder.record_cancelled()
-                joined = self._abort_cached_flight(request, failure)
-                if joined:
-                    self._recorder.record_cancelled(joined)
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not None:
-                    item.pending._fail(failure)
-                    self._recorder.record_cancelled()
-                    joined = self._abort_cached_flight(item, failure)
-                    if joined:
-                        self._recorder.record_cancelled(joined)
-            with self._state_lock:
-                self._accepting = False
-
-    def _serve_until_stopped(self) -> None:
-        max_wait = self.config.max_wait_ms / 1e3
-        while True:
-            try:
-                item = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                # repro: allow[LOCK-GUARD] -- batcher-side flag read:
-                # written under lock by stop(), read lock-free here so
-                # the idle poll never contends with submitters; a
-                # stale read only delays shutdown by one 50 ms poll.
-                if not self._accepting:
-                    break
-                continue
-            # Batcher-side flag reads; worst case is one extra pass.
-            if item is None or (
-                not self._accepting and not self._draining  # repro: allow[LOCK-GUARD] -- see poll-loop note
-            ):
-                # repro: allow[LOCK-GUARD] -- see above.
-                if self._draining:
-                    self._drain_remaining()
-                else:
-                    if item is not None:
-                        closed = ServerClosed(
-                            "server stopped without draining"
-                        )
-                        item.pending._fail(closed)
-                        self._recorder.record_cancelled()
-                        joined = self._abort_cached_flight(item, closed)
-                        if joined:
-                            self._recorder.record_cancelled(joined)
-                    self._cancel_remaining()
-                break
-            batch = [item]
-            self._inflight = batch  # crash handler's view of the batch
-            stopping = False
-            # Adaptive coalescing: sweep whatever is already queued
-            # (a burst batches immediately, with no timer in the way),
-            # then wait out the remainder of ``max_wait_ms`` for the
-            # batch to fill.
-            deadline = time.perf_counter() + max_wait
-            while len(batch) < self.config.max_batch:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                if extra is None:
-                    stopping = True
-                    break
-                # A non-draining stop whose sentinel was refused by a
-                # full queue (see _close_intake) has no sentinel for
-                # this sweep to trip over: re-check the gates after
-                # every pop, or the sweep keeps coalescing -- and
-                # flushing -- requests the stop already promised to
-                # fail with ServerClosed.
-                # repro: allow[LOCK-GUARD] -- batcher-side flag read
-                # (see the poll-loop justification above).
-                if not self._accepting and not self._draining:
-                    closed = ServerClosed(
-                        "server stopped without draining"
-                    )
-                    extra.pending._fail(closed)
-                    self._recorder.record_cancelled()
-                    joined = self._abort_cached_flight(extra, closed)
-                    if joined:
-                        self._recorder.record_cancelled(joined)
-                    stopping = True
-                    break
-                batch.append(extra)
-            self._flush(batch)
-            self._inflight = []
-            if stopping:
-                # repro: allow[LOCK-GUARD] -- batcher-side flag read
-                # (see the poll-loop justification above).
-                if self._draining:
-                    self._drain_remaining()
-                else:
-                    self._cancel_remaining()
-                break
-
-    def _drain_remaining(self) -> None:
-        """Serve whatever is still queued, in arrival order, in
-        ``max_batch``-sized flushes."""
-        batch: list[_Request] = []
-        self._inflight = batch
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                continue
-            batch.append(item)
-            if len(batch) == self.config.max_batch:
-                self._flush(batch)
-                batch = []
-                self._inflight = batch
-        if batch:
-            self._flush(batch)
-        self._inflight = []
-
-    def _cancel_remaining(self) -> None:
-        cancelled = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                continue
+            self._retire(_State.DEAD, failure, batch)
+        else:
             closed = ServerClosed("server stopped without draining")
-            item.pending._fail(closed)
-            cancelled += 1
-            # A cancelled leader closes its flight: joiners were
-            # counted submitted, so they count as cancelled too.
-            cancelled += self._abort_cached_flight(item, closed)
+            self._retire(_State.STOPPED, closed, batch)
+
+    def _next_batch(self) -> list[_Request]:
+        """Take the next micro-batch off the queue; ``[]`` once the
+        batcher should exit.
+
+        RUNNING coalesces: take what is queued, then wait out the rest
+        of ``max_wait_ms`` -- counted from when this batch's first
+        request is taken -- for the batch to fill.  DRAINING takes
+        ``max_batch``-sized chunks without the fill wait until the
+        queue is empty.  STOPPING takes nothing: :meth:`_retire`
+        cancels what is left.
+        """
+        max_batch = self.config.max_batch
+        batch: list[_Request] = []
+        with self._cond:
+            self._cond.wait_for(self._has_work)
+            deadline = time.perf_counter() + self.config.max_wait_ms / 1e3
+            while self._state is not _State.STOPPING:
+                while self._pending and len(batch) < max_batch:
+                    batch.append(self._pending.popleft())
+                remaining = deadline - time.perf_counter()
+                if (
+                    len(batch) == max_batch
+                    or self._state is not _State.RUNNING
+                    or remaining <= 0
+                ):
+                    break
+                self._cond.wait(remaining)
+            self._cond.notify_all()  # room for blocked submitters
+        return batch
+
+    def _has_work(self) -> bool:
+        return bool(self._pending) or self._state is not _State.RUNNING
+
+    def _retire(
+        self, state: _State, error: BaseException, in_hand: list[_Request]
+    ) -> None:
+        """Leave service as ``state``: close the recorder's running
+        period, then cancel whatever of ``in_hand`` is unsettled and
+        everything still queued with ``error``.  The state change and
+        the queue sweep share one critical section, so no submission
+        can slip in behind the sweep."""
+        with self._cond:
+            self._state = state
+            swept = [*in_hand, *self._pending]
+            self._pending.clear()
+            self._recorder.mark_stopped()
+            self._cond.notify_all()
+        cancelled = sum(self._fail(request, error) for request in swept)
         if cancelled:
             self._recorder.record_cancelled(cancelled)
 
@@ -647,15 +560,10 @@ class PipelineServer:
                     # (and everything queued) with full accounting.
                     raise
                 except BaseException as error:  # noqa: BLE001 -- demuxed
+                    # Errors are never cached: the flight closes so the
+                    # key recomputes next time, and joiners fail too.
                     for request in requests:
-                        request.pending._fail(error)
-                        failures += 1
-                        # Errors are never cached: close the flight so
-                        # the key recomputes next time, and fail its
-                        # joiners.
-                        joined = self._abort_cached_flight(request, error)
-                        if joined:
-                            self._recorder.record_followers_failed(joined)
+                        failures += self._fail(request, error)
                     continue
                 for request, result in zip(requests, results):
                     flagged = bool(getattr(result, "flagged", False))
@@ -714,15 +622,18 @@ class PipelineServer:
             follower_latencies, degraded=follower_degraded
         )
 
-    def _abort_cached_flight(
-        self, request: _Request, error: BaseException
-    ) -> int:
-        """Close a leader's flight without caching; fail its joined
-        followers with ``error``.  Returns how many were failed."""
-        if request.cache_key is None or self._cache is None:
+    def _fail(self, request: _Request, error: BaseException) -> int:
+        """Fail ``request`` with ``error`` and close its cache flight,
+        failing the followers that joined it.  Returns how many
+        handles it failed (0 for a request that already settled); the
+        caller books them in the ledger column the failure belongs
+        to."""
+        if request.pending.done():
             return 0
+        request.pending._fail(error)
+        if request.cache_key is None:
+            return 1
         followers = self._cache.abort(request.cache_key)
         for pending in followers:
-            if not pending.done():
-                pending._fail(error)
-        return len(followers)
+            pending._fail(error)
+        return 1 + len(followers)

@@ -29,7 +29,9 @@ class ServerStats:
         Submissions refused by backpressure (``overflow="reject"`` with
         a full queue, or a ``block`` submission that timed out).
     cancelled:
-        Requests abandoned by a non-draining stop.
+        Accepted requests abandoned without a result: queued under a
+        non-draining stop or a batcher death, or joined onto a cache
+        leader whose own submission was refused.
     degraded:
         Completed results whose decision was qualifier-flagged and
         therefore routed to the degradation hook (see
@@ -188,8 +190,10 @@ class StatsRecorder:
             self._stopped_at = None
 
     def mark_stopped(self) -> None:
+        """End the running period; a no-op when already stopped, so a
+        later stop can never add stopped (or dead) time to uptime."""
         with self._lock:
-            if self._started_at is not None:
+            if self._started_at is not None and self._stopped_at is None:
                 self._stopped_at = time.perf_counter()
 
     # -- events ----------------------------------------------------------
@@ -238,11 +242,6 @@ class StatsRecorder:
             self.degraded += degraded
             self._latencies.extend(latencies_s)
             self._cached_latencies.extend(latencies_s)
-
-    def record_followers_failed(self, count: int) -> None:
-        """Joined requests failed by their leader's failure."""
-        with self._lock:
-            self.failed += count
 
     def record_cache_evictions(self, count: int) -> None:
         with self._lock:

@@ -9,6 +9,7 @@ regression or needs an explicit ``# repro: allow[...]`` justification.
 from __future__ import annotations
 
 from repro.lint import Baseline, load_config, run_lint
+from repro.lint.pragmas import Suppressions
 
 from tests.lint.conftest import REPO_ROOT
 
@@ -44,3 +45,21 @@ def test_fixture_corpus_is_excluded_from_the_gate():
     assert config.is_excluded("tests/lint/fixtures/float_eq_bad.py")
     assert config.is_excluded("benchmarks/artifacts/generated.py")
     assert not config.is_excluded("src/repro/core/guarantee.py")
+
+
+def test_serving_layer_waives_no_lock_guard():
+    """Ratchet: the serving layer reads its shared state under the
+    declared lock, never through a pragma-justified racy read.  A new
+    waiver there means a lock-free flag read crept back in."""
+    serving = REPO_ROOT / "src" / "repro" / "serving"
+    waivers = []
+    for path in sorted(serving.rglob("*.py")):
+        pragmas = Suppressions.scan(path.read_text(encoding="utf-8"))
+        if "LOCK-GUARD" in pragmas.file_rules:
+            waivers.append(f"{path.name}: allow-file")
+        waivers.extend(
+            f"{path.name}:{line}"
+            for line, rules in sorted(pragmas.line_rules.items())
+            if "LOCK-GUARD" in rules
+        )
+    assert waivers == [], waivers
