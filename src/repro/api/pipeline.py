@@ -259,7 +259,9 @@ class HybridPipeline:
         Both halves of the work are batched: the CNN runs as a single
         :meth:`~repro.nn.network.Sequential.forward` and the
         dependable path through the batched qualifier engine
-        (:meth:`~repro.core.qualifier.ShapeQualifier.check_batch`).
+        (:meth:`~repro.core.qualifier.ShapeQualifier.check_batch`); the
+        parallel architecture runs the two concurrently (see
+        :meth:`~repro.core.hybrid.ParallelHybridCNN.infer_batch`).
         Probabilities, verdicts and decisions are bitwise identical to
         n :meth:`infer` calls (see
         ``benchmarks/test_batch_inference.py`` and
@@ -340,11 +342,11 @@ class HybridPipeline:
         around this pipeline (not yet started -- use ``with
         pipeline.serve(...) as server:`` or call ``start()``).
 
-        The server owns the pipeline while running: all inference goes
-        through its single batcher thread, which is what keeps the
-        stateful model/qualifier internals single-writer and the
-        per-request results bitwise identical to serial :meth:`infer`
-        calls.  See ``docs/serving.md``.
+        The server owns the pipeline while running: every
+        ``infer_batch`` call comes from its single batcher thread, which
+        is what keeps the stateful qualifier internals single-writer and
+        the per-request results bitwise identical to serial
+        :meth:`infer` calls.  See ``docs/serving.md``.
         """
         from repro.serving import PipelineServer
 

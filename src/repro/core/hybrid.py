@@ -20,7 +20,9 @@ Both produce a :class:`HybridResult` via the same
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +30,47 @@ import numpy as np
 from repro.core.partition import HybridPartition
 from repro.core.qualifier import QualifierVerdict, ShapeQualifier
 from repro.nn.layers.activations import softmax
-from repro.nn.layers.dense import Dense
+from repro.nn.layers.dense import batch_invariant_inference
 from repro.nn.network import Sequential
 from repro.reliable.executor import ExecutionReport, ReliableConv2D
 
 
-@contextmanager
-def _batch_invariant_inference(model: Sequential):
-    """Run the model's Dense layers in batch-size-invariant mode.
+#: Batch size from which :meth:`ParallelHybridCNN.infer_batch` runs its
+#: CNN branch on the worker thread.  Below it the handoff costs more
+#: than the overlap saves (measured sweep in CHANGES.md).
+_OVERLAP_FLOOR = 16
 
-    A model serving a hybrid must produce bitwise-identical outputs
-    whether images arrive one at a time or batched (``infer`` vs
-    ``infer_batch``); Dense is the one layer whose naive batched GEMM
-    breaks that.  At n=1 the invariant form equals the blocked GEMM
-    bitwise, so entering this context never changes single-image
-    results.  Scoped to each inference call -- the model object may be
-    shared with baselines, calibration or training, which keep the
-    blocked GEMM outside hybrid inference.
-    """
-    dense_layers = [
-        layer for layer in model if isinstance(layer, Dense)
-    ]
-    previous = [layer.batch_invariant for layer in dense_layers]
-    for layer in dense_layers:
-        layer.batch_invariant = True
-    try:
-        yield
-    finally:
-        for layer, value in zip(dense_layers, previous):
-            layer.batch_invariant = value
+_cnn_worker: ThreadPoolExecutor | None = None
+_cnn_worker_lock = threading.Lock()
+
+
+def _cnn_branch_worker() -> ThreadPoolExecutor:
+    """The process's one CNN-branch worker thread, started on first use."""
+    global _cnn_worker
+    with _cnn_worker_lock:
+        if _cnn_worker is None:
+            _cnn_worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="hybrid-cnn-branch"
+            )
+        return _cnn_worker
+
+
+def _forget_cnn_worker() -> None:
+    # A forked child inherits the executor but not its thread: work
+    # submitted there would never run, so the child starts its own.
+    global _cnn_worker, _cnn_worker_lock
+    _cnn_worker = None
+    _cnn_worker_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_cnn_worker)
+
+
+def _invariant_forward(model: Sequential, images: np.ndarray) -> np.ndarray:
+    """The CNN branch: ``model.forward`` in batch-invariant mode, so a
+    sample's logits do not depend on the batch it arrived in."""
+    with batch_invariant_inference():
+        return model.forward(images)
 
 
 def _qualify_image_batch(qualifier, views: np.ndarray) -> list[QualifierVerdict]:
@@ -188,6 +202,11 @@ class ReliableResultBlock:
 class ParallelHybridCNN:
     """Figure 1: independent qualifier in parallel with the CNN.
 
+    The two branches share nothing but the input, and
+    :meth:`infer_batch` runs them concurrently: the CNN on a worker
+    thread, the qualifier on the calling thread.  :meth:`infer` runs
+    them one after the other -- it is the serial parity oracle.
+
     Parameters
     ----------
     model:
@@ -224,9 +243,7 @@ class ParallelHybridCNN:
         # feed the qualifier identical pixels (the model casts to
         # float32 internally either way).
         image = np.asarray(image, dtype=np.float32)
-        with _batch_invariant_inference(self.model):
-            logits = self.model.forward(image[None])
-        probabilities = softmax(logits)[0]
+        probabilities = softmax(_invariant_forward(self.model, image[None]))[0]
         verdict = self.qualifier.check(
             image if qualifier_view is None
             else np.asarray(qualifier_view, dtype=np.float32)
@@ -241,20 +258,26 @@ class ParallelHybridCNN:
         images: np.ndarray,
         qualifier_views: np.ndarray | None = None,
     ) -> list[HybridResult]:
-        """Classify ``(n, 3, h, w)`` images in one vectorised pass.
+        """Classify ``(n, 3, h, w)`` images, both branches batched.
 
-        The CNN half runs as a single batched
+        The CNN branch is one batched
         :meth:`~repro.nn.network.Sequential.forward` instead of n
-        per-image passes, and the qualifier half runs through
+        per-image passes, and the qualifier branch one
         :meth:`ShapeQualifier.check_batch` -- whole-batch edge maps,
         array labelling and one SAX/MINDIST pass under the batched
-        engine (:mod:`repro.core.qualifier_batch`).  Probabilities,
-        verdicts and decisions are bitwise identical to n
-        :meth:`infer` calls: every layer's batched arithmetic is
+        engine (:mod:`repro.core.qualifier_batch`).  From
+        ``_OVERLAP_FLOOR`` images on, the CNN branch runs on a worker
+        thread while the calling thread qualifies; the branches are
+        joined before the reliable-result block combines them.  When
+        the qualifier raises, the error propagates once the CNN branch
+        has finished; a CNN error propagates as is.
+
+        Probabilities, verdicts and decisions are bitwise identical to
+        n :meth:`infer` calls: every layer's batched arithmetic is
         per-sample shape-stable (see
-        :class:`repro.nn.layers.dense.Dense`) and the qualifier
-        engine's ``"auto"`` policy vectorizes only when provably
-        bit-identical.
+        :func:`repro.nn.layers.dense.batch_invariant_inference`) and
+        the qualifier engine's ``"auto"`` policy vectorizes only when
+        provably bit-identical.
         """
         images = np.asarray(images, dtype=np.float32)
         if qualifier_views is not None and len(qualifier_views) != len(
@@ -266,27 +289,21 @@ class ParallelHybridCNN:
             )
         if len(images) == 0:
             return []
-        with _batch_invariant_inference(self.model):
-            logits = self.model.forward(images)
-        probabilities = softmax(logits)
-        if qualifier_views is None:
-            verdicts = _qualify_image_batch(self.qualifier, images)
+        if len(images) < _OVERLAP_FLOOR:
+            logits = _invariant_forward(self.model, images)
+            verdicts = self._qualify_batch(images, qualifier_views)
         else:
+            cnn = _cnn_branch_worker().submit(
+                _invariant_forward, self.model, images
+            )
             try:
-                views = np.asarray(qualifier_views, dtype=np.float32)
-            except ValueError:
-                # Ragged views (one resolution per scene) cannot stack;
-                # qualify per image exactly as n infer() calls would.
-                views = None
-            if views is None:
-                verdicts = [
-                    self.qualifier.check(
-                        np.asarray(view, dtype=np.float32)
-                    )
-                    for view in qualifier_views
-                ]
-            else:
-                verdicts = _qualify_image_batch(self.qualifier, views)
+                verdicts = self._qualify_batch(images, qualifier_views)
+            finally:
+                # Join before anything propagates: no branch outlives
+                # the call.
+                wait((cnn,))
+            logits = cnn.result()
+        probabilities = softmax(logits)
         results = []
         for i in range(len(images)):
             predicted, decision = self.result_block.combine(
@@ -298,6 +315,23 @@ class ParallelHybridCNN:
                 )
             )
         return results
+
+    def _qualify_batch(
+        self, images: np.ndarray, qualifier_views
+    ) -> list[QualifierVerdict]:
+        """The qualifier branch of :meth:`infer_batch`."""
+        if qualifier_views is None:
+            return _qualify_image_batch(self.qualifier, images)
+        try:
+            views = np.asarray(qualifier_views, dtype=np.float32)
+        except ValueError:
+            # Ragged views (one resolution per scene) cannot stack;
+            # qualify per image exactly as n infer() calls would.
+            return [
+                self.qualifier.check(np.asarray(view, dtype=np.float32))
+                for view in qualifier_views
+            ]
+        return _qualify_image_batch(self.qualifier, views)
 
 
 class IntegratedHybridCNN:
@@ -363,9 +397,13 @@ class IntegratedHybridCNN:
 
         The shared prefix, the reliable partition
         (:class:`~repro.reliable.executor.ReliableConv2D` is already
-        batch-aware) and the non-reliable remainder each run once on
-        the whole batch; only the per-shape qualifier stays a
-        per-image loop.  Probabilities and decisions are bitwise
+        batch-aware), the non-reliable remainder and the feature-map
+        qualifier (``check_feature_map_batch``) each run once on the
+        whole batch, one after the other.  Unlike
+        :class:`ParallelHybridCNN` nothing overlaps: both branches wait
+        for the reliable conv, and the CNN remainder after it is a small
+        share of the flush next to the feature-map qualifier.
+        Probabilities and decisions are bitwise
         identical to n :meth:`infer` calls; the reliable executor
         allocates its leaky bucket per image, so even abort points
         match single-image inference.  Each result's
@@ -382,7 +420,7 @@ class IntegratedHybridCNN:
     def _infer_stack(self, x: np.ndarray) -> list[HybridResult]:
         if len(x) == 0:
             return []
-        with _batch_invariant_inference(self.model):
+        with batch_invariant_inference():
             return self._infer_stack_invariant(x)
 
     def _infer_stack_invariant(self, x: np.ndarray) -> list[HybridResult]:

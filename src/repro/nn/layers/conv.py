@@ -18,6 +18,11 @@ from repro.nn.initializers import glorot_uniform, zeros_init
 from repro.nn.layers.base import Layer
 
 
+#: Images per im2col + GEMM block in inference-mode
+#: :meth:`Conv2D.forward`; bounds the transient patch matrix.
+_INFERENCE_BLOCK = 16
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution along one axis."""
     out = (size + 2 * padding - kernel) // stride + 1
@@ -166,12 +171,31 @@ class Conv2D(Layer):
                 f"got {x.shape}"
             )
         k = (self.kernel_size, self.kernel_size)
-        cols = im2col(x, k, self.stride, self.padding)
-        n, out_h, out_w, _ = cols.shape
         wmat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ wmat.T + self.bias.value
         if training:
+            cols = im2col(x, k, self.stride, self.padding)
             self._cache = (cols, x.shape)
+            out = cols @ wmat.T + self.bias.value
+            return out.transpose(0, 3, 1, 2)
+        # Inference runs im2col + GEMM over fixed blocks of images, so
+        # the patch matrix never spans more than one block.  Bitwise
+        # identical to the whole-batch product: the stacked matmul
+        # issues one (out_w, K) @ (K, F) GEMM per image row either way.
+        out_c, out_h, out_w = self.output_shape(x.shape[1:])
+        out = np.empty(
+            (len(x), out_h, out_w, out_c),
+            np.result_type(x, wmat, self.bias.value),
+        )
+        for start in range(0, len(x), _INFERENCE_BLOCK):
+            block = slice(start, start + _INFERENCE_BLOCK)
+            # No name holds the patch matrix, so each block's is freed
+            # before the next one is built.
+            np.matmul(
+                im2col(x[block], k, self.stride, self.padding),
+                wmat.T,
+                out=out[block],
+            )
+            out[block] += self.bias.value
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -2,10 +2,43 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
 from repro.nn.initializers import glorot_uniform, zeros_init
 from repro.nn.layers.base import Layer
+
+
+#: Batch-invariant inference for every Dense layer, scoped to the
+#: current thread (each thread starts with its own context, so a
+#: worker thread never inherits the mode from the thread that handed
+#: it work).
+_BATCH_INVARIANT: ContextVar[bool] = ContextVar(
+    "dense_batch_invariant", default=False
+)
+
+
+@contextmanager
+def batch_invariant_inference() -> Iterator[None]:
+    """Run Dense inference batch-size-invariant on this thread.
+
+    Inside the context every :class:`Dense` forward with
+    ``training=False`` uses the per-sample matmul, as if its
+    ``batch_invariant`` attribute were set.  The mode belongs to the
+    calling thread and ends with the context, so concurrent inferences
+    on one shared model never see each other's mode and no layer
+    attribute is mutated.  At n=1 the invariant form equals the blocked
+    GEMM bitwise, so entering the context never changes single-sample
+    results.
+    """
+    token = _BATCH_INVARIANT.set(True)
+    try:
+        yield
+    finally:
+        _BATCH_INVARIANT.reset(token)
 
 
 class Dense(Layer):
@@ -28,11 +61,10 @@ class Dense(Layer):
         self.bias = self._register(zeros_init((out_features,), rng), "bias")
         self._cache: np.ndarray | None = None
         #: When True, inference uses the per-sample stacked matmul so
-        #: a sample's output is bitwise independent of its batch (the
-        #: hybrid pipeline's batched-parity contract; see
-        #: :mod:`repro.core.hybrid`, which sets this on its model).
-        #: Off by default: training, calibration and campaigns keep
-        #: the blocked GEMM.
+        #: a sample's output is bitwise independent of its batch.  Off
+        #: by default: training, calibration and campaigns keep the
+        #: blocked GEMM.  The hybrid pipelines leave it alone and enter
+        #: :func:`batch_invariant_inference` per call instead.
         self.batch_invariant = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -43,7 +75,9 @@ class Dense(Layer):
             )
         if training:
             self._cache = x
-        if training or not self.batch_invariant:
+        if training or not (
+            self.batch_invariant or _BATCH_INVARIANT.get()
+        ):
             # One blocked GEMM: throughput, no invariance promise.
             return x @ self.weight.value + self.bias.value
         # Batch-invariant inference: stacked per-sample matmul instead

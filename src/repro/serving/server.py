@@ -20,13 +20,15 @@ arithmetic for image ``i`` is independent of which other images share
 its batch); the serving tests and throughput benchmark assert it
 rather than assume it.
 
-Threading model: one batcher thread owns the pipeline and performs all
-inference.  The pipeline is deliberately *not* shared between
-concurrent ``infer_batch`` calls -- the model's batch-invariant mode is
-toggled around each call and the qualifier's rollback machinery is
-stateful, so a second in-flight call could observe half-configured
-layers.  Micro-batching, not thread parallelism, is where the
-throughput comes from.  The lifecycle state, the pending-request queue
+Threading model: one batcher thread owns the pipeline and makes every
+``infer_batch`` call.  The pipeline is deliberately *not* shared
+between concurrent ``infer_batch`` calls -- the qualifier's rollback
+machinery is stateful.  Within one call the parallel hybrid may run
+its CNN branch on a worker thread beside the qualifier (see
+:class:`~repro.core.hybrid.ParallelHybridCNN`); that is the pipeline's
+business, and the call still returns only once both branches have
+finished.  Micro-batching is where most of the throughput comes from.
+The lifecycle state, the pending-request queue
 and the batcher thread handle sit behind one condition variable, so a
 submission and a state change can never interleave.
 """
