@@ -20,9 +20,7 @@ Both produce a :class:`HybridResult` via the same
 from __future__ import annotations
 
 import enum
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,34 +34,9 @@ from repro.reliable.executor import ExecutionReport, ReliableConv2D
 
 
 #: Batch size from which :meth:`ParallelHybridCNN.infer_batch` runs its
-#: CNN branch on the worker thread.  Below it the handoff costs more
-#: than the overlap saves (measured sweep in CHANGES.md).
+#: CNN branch on a worker thread.  Below it the handoff costs more than
+#: the overlap saves (measured sweep in CHANGES.md).
 _OVERLAP_FLOOR = 16
-
-_cnn_worker: ThreadPoolExecutor | None = None
-_cnn_worker_lock = threading.Lock()
-
-
-def _cnn_branch_worker() -> ThreadPoolExecutor:
-    """The process's one CNN-branch worker thread, started on first use."""
-    global _cnn_worker
-    with _cnn_worker_lock:
-        if _cnn_worker is None:
-            _cnn_worker = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="hybrid-cnn-branch"
-            )
-        return _cnn_worker
-
-
-def _forget_cnn_worker() -> None:
-    # A forked child inherits the executor but not its thread: work
-    # submitted there would never run, so the child starts its own.
-    global _cnn_worker, _cnn_worker_lock
-    _cnn_worker = None
-    _cnn_worker_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_cnn_worker)
 
 
 def _invariant_forward(model: Sequential, images: np.ndarray) -> np.ndarray:
@@ -293,15 +266,15 @@ class ParallelHybridCNN:
             logits = _invariant_forward(self.model, images)
             verdicts = self._qualify_batch(images, qualifier_views)
         else:
-            cnn = _cnn_branch_worker().submit(
-                _invariant_forward, self.model, images
-            )
-            try:
+            # One worker thread per call, joined when the block exits --
+            # also when the qualifier raises -- so no branch outlives
+            # the call and no thread is shared between pipelines or
+            # inherited by a forked process.
+            with ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="hybrid-cnn-branch"
+            ) as worker:
+                cnn = worker.submit(_invariant_forward, self.model, images)
                 verdicts = self._qualify_batch(images, qualifier_views)
-            finally:
-                # Join before anything propagates: no branch outlives
-                # the call.
-                wait((cnn,))
             logits = cnn.result()
         probabilities = softmax(logits)
         results = []

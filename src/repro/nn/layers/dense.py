@@ -26,13 +26,13 @@ def batch_invariant_inference() -> Iterator[None]:
     """Run Dense inference batch-size-invariant on this thread.
 
     Inside the context every :class:`Dense` forward with
-    ``training=False`` uses the per-sample matmul, as if its
-    ``batch_invariant`` attribute were set.  The mode belongs to the
-    calling thread and ends with the context, so concurrent inferences
-    on one shared model never see each other's mode and no layer
-    attribute is mutated.  At n=1 the invariant form equals the blocked
-    GEMM bitwise, so entering the context never changes single-sample
-    results.
+    ``training=False`` uses the per-sample matmul, so a sample's output
+    is bitwise independent of its batch; outside it (training,
+    calibration, campaigns) Dense keeps the one blocked GEMM.  The mode
+    belongs to the calling thread and ends with the context, so
+    concurrent inferences on one shared model never see each other's
+    mode.  At n=1 the invariant form equals the blocked GEMM bitwise,
+    so entering the context never changes single-sample results.
     """
     token = _BATCH_INVARIANT.set(True)
     try:
@@ -60,12 +60,6 @@ class Dense(Layer):
         )
         self.bias = self._register(zeros_init((out_features,), rng), "bias")
         self._cache: np.ndarray | None = None
-        #: When True, inference uses the per-sample stacked matmul so
-        #: a sample's output is bitwise independent of its batch.  Off
-        #: by default: training, calibration and campaigns keep the
-        #: blocked GEMM.  The hybrid pipelines leave it alone and enter
-        #: :func:`batch_invariant_inference` per call instead.
-        self.batch_invariant = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
@@ -75,9 +69,7 @@ class Dense(Layer):
             )
         if training:
             self._cache = x
-        if training or not (
-            self.batch_invariant or _BATCH_INVARIANT.get()
-        ):
+        if training or not _BATCH_INVARIANT.get():
             # One blocked GEMM: throughput, no invariance promise.
             return x @ self.weight.value + self.bias.value
         # Batch-invariant inference: stacked per-sample matmul instead

@@ -1,11 +1,11 @@
 """Forked workers after an overlapped ``infer_batch`` in the parent.
 
 ``ParallelHybridCNN.infer_batch`` runs its CNN branch on a worker
-thread that the process starts on first use.  A forked child inherits
-the parent's memory but not its threads, so work handed to an
-inherited executor would never run.  Campaign pools fork; both checks
-run in a fresh interpreter under a timeout, so a hang fails the test
-instead of stalling the suite.
+thread.  A forked child inherits the parent's memory but not its
+threads, so a worker kept across calls would never run work handed to
+it in the child; the branch's thread therefore lives only for one call.
+Campaign pools fork; both checks run in a fresh interpreter under a
+timeout, so a hang fails the test instead of stalling the suite.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ SCRIPT = textwrap.dedent("""
         return [r.probabilities.tobytes() for r in pipeline.infer_batch(images)]
 
 
-    # Starts the CNN-branch worker thread in this (parent) process.
+    # An overlapped call in this (parent) process before any fork.
     want = probabilities()
     context = multiprocessing.get_context("fork")
     with context.Pool(1) as pool:

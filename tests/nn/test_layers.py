@@ -15,6 +15,7 @@ from repro.nn.layers import (
     Softmax,
 )
 from repro.nn.layers.activations import softmax
+from repro.nn.layers.dense import batch_invariant_inference
 from tests.nn.test_conv import numerical_gradient
 
 
@@ -30,19 +31,19 @@ class TestDense:
         pipeline's batched path promises bitwise parity with per-image
         inference, and Dense is the one layer where a naive batched
         GEMM breaks it (BLAS dispatches shape-dependent kernels).  The
-        invariant mode is opt-in (the hybrids set it on their model);
-        training and calibration keep the blocked GEMM."""
+        invariant mode is opt-in (the hybrids enter
+        ``batch_invariant_inference`` around each inference); training
+        and calibration keep the blocked GEMM."""
         dense = Dense(128, 16, rng=rng)
-        dense.batch_invariant = True
         x = rng.standard_normal((32, 128)).astype(np.float32)
-        batched = dense.forward(x)
-        singles = np.concatenate(
-            [dense.forward(x[i : i + 1]) for i in range(len(x))]
-        )
+        with batch_invariant_inference():
+            batched = dense.forward(x)
+            singles = np.concatenate(
+                [dense.forward(x[i : i + 1]) for i in range(len(x))]
+            )
         np.testing.assert_array_equal(batched, singles)
         # Single-sample outputs are identical in both modes, so
-        # enabling the flag never changes per-image inference.
-        dense.batch_invariant = False
+        # entering the mode never changes per-image inference.
         np.testing.assert_array_equal(
             dense.forward(x[:1]), singles[:1]
         )
