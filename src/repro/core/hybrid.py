@@ -20,6 +20,7 @@ Both produce a :class:`HybridResult` via the same
 from __future__ import annotations
 
 import enum
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,12 +39,61 @@ from repro.reliable.executor import ExecutionReport, ReliableConv2D
 #: the overlap saves (measured sweep in CHANGES.md).
 _OVERLAP_FLOOR = 16
 
+#: Images per chunk of an overlapped call's CNN branch (see
+#: :class:`_SharedForward`).  At 64 images, 16-image chunks forward as
+#: fast as one whole-batch call; 8-image chunks cost ~8% more.
+_CNN_CHUNK = 16
+
 
 def _invariant_forward(model: Sequential, images: np.ndarray) -> np.ndarray:
     """The CNN branch: ``model.forward`` in batch-invariant mode, so a
     sample's logits do not depend on the batch it arrived in."""
     with batch_invariant_inference():
         return model.forward(images)
+
+
+class _SharedForward:
+    """The CNN branch of one overlapped call, in chunks that the worker
+    thread and the calling thread claim in order.
+
+    The worker runs chunks from the start; the calling thread, once it
+    has qualified, runs whichever are still unclaimed.  A worker that
+    falls behind (another process holds the second core) then holds
+    the call up only by the chunk it is running, not by the rest of
+    the branch.  Each chunk is a batch-invariant forward, so the
+    joined logits equal one whole-batch forward bit for bit.
+    """
+
+    _guarded_by = {"_lock": ("_next",)}
+
+    def __init__(self, model: Sequential, images: np.ndarray) -> None:
+        self._model = model
+        self._images = images
+        self._starts = range(0, len(images), _CNN_CHUNK)
+        self._logits: list[np.ndarray | None] = [None] * len(self._starts)
+        self._lock = threading.Lock()
+        self._next = 0
+
+    def _claim(self) -> int | None:
+        with self._lock:
+            k = self._next
+            if k == len(self._starts):
+                return None
+            self._next = k + 1
+            return k
+
+    def run(self) -> None:
+        """Forward unclaimed chunks until none is left."""
+        with batch_invariant_inference():
+            while (k := self._claim()) is not None:
+                start = self._starts[k]
+                self._logits[k] = self._model.forward(
+                    self._images[start : start + _CNN_CHUNK]
+                )
+
+    def logits(self) -> np.ndarray:
+        """The whole batch's logits; call once both threads finished."""
+        return np.concatenate(self._logits)
 
 
 def _qualify_image_batch(qualifier, views: np.ndarray) -> list[QualifierVerdict]:
@@ -177,8 +227,9 @@ class ParallelHybridCNN:
 
     The two branches share nothing but the input, and
     :meth:`infer_batch` runs them concurrently: the CNN on a worker
-    thread, the qualifier on the calling thread.  :meth:`infer` runs
-    them one after the other -- it is the serial parity oracle.
+    thread, the qualifier on the calling thread, which then runs any
+    CNN chunks the worker has not reached.  :meth:`infer` runs them one
+    after the other -- it is the serial parity oracle.
 
     Parameters
     ----------
@@ -233,17 +284,19 @@ class ParallelHybridCNN:
     ) -> list[HybridResult]:
         """Classify ``(n, 3, h, w)`` images, both branches batched.
 
-        The CNN branch is one batched
-        :meth:`~repro.nn.network.Sequential.forward` instead of n
-        per-image passes, and the qualifier branch one
+        The CNN branch is batched
+        :meth:`~repro.nn.network.Sequential.forward` calls instead of
+        n per-image passes, and the qualifier branch one
         :meth:`ShapeQualifier.check_batch` -- whole-batch edge maps,
         array labelling and one SAX/MINDIST pass under the batched
         engine (:mod:`repro.core.qualifier_batch`).  From
-        ``_OVERLAP_FLOOR`` images on, the CNN branch runs on a worker
-        thread while the calling thread qualifies; the branches are
-        joined before the reliable-result block combines them.  When
-        the qualifier raises, the error propagates once the CNN branch
-        has finished; a CNN error propagates as is.
+        ``_OVERLAP_FLOOR`` images on, a worker thread runs the CNN
+        branch in ``_CNN_CHUNK``-image chunks while the calling thread
+        qualifies, and the calling thread then runs the chunks the
+        worker has not reached (:class:`_SharedForward`); both threads
+        finish before the reliable-result block combines the branches.
+        When the qualifier raises, the error propagates once the CNN
+        branch has finished; a CNN error propagates as is.
 
         Probabilities, verdicts and decisions are bitwise identical to
         n :meth:`infer` calls: every layer's batched arithmetic is
@@ -266,6 +319,7 @@ class ParallelHybridCNN:
             logits = _invariant_forward(self.model, images)
             verdicts = self._qualify_batch(images, qualifier_views)
         else:
+            cnn = _SharedForward(self.model, images)
             # One worker thread per call, joined when the block exits --
             # also when the qualifier raises -- so no branch outlives
             # the call and no thread is shared between pipelines or
@@ -273,9 +327,11 @@ class ParallelHybridCNN:
             with ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="hybrid-cnn-branch"
             ) as worker:
-                cnn = worker.submit(_invariant_forward, self.model, images)
+                helper = worker.submit(cnn.run)
                 verdicts = self._qualify_batch(images, qualifier_views)
-            logits = cnn.result()
+                cnn.run()
+            helper.result()
+            logits = cnn.logits()
         probabilities = softmax(logits)
         results = []
         for i in range(len(images)):

@@ -2,8 +2,10 @@
 
 ``ParallelHybridCNN.infer_batch`` runs its CNN branch on a worker
 thread while the calling thread qualifies (from ``_OVERLAP_FLOOR``
-images on), and inference-mode ``Conv2D.forward`` runs im2col + GEMM in
-blocks of ``_INFERENCE_BLOCK`` images.  Neither may change a bit of any
+images on), in chunks of ``_CNN_CHUNK`` images of which the calling
+thread takes any the worker has not reached once it has qualified, and
+inference-mode ``Conv2D.forward`` runs im2col + GEMM in blocks of
+``_INFERENCE_BLOCK`` images.  Neither may change a bit of any
 result, an error in either branch must surface only once both have
 finished, and the batch-invariant Dense mode must stay scoped to the
 call that entered it -- also when several threads share one pipeline.
@@ -30,6 +32,7 @@ from repro.nn.layers.dense import Dense
 from tests.api.test_batch_parity import assert_bitwise_parity
 
 FLOOR = hybrid._OVERLAP_FLOOR
+CHUNK = hybrid._CNN_CHUNK
 BLOCK = conv_module._INFERENCE_BLOCK
 IMAGE_SIZE = 24
 
@@ -69,18 +72,22 @@ def _assert_mode_off(model) -> None:
 
 
 class _ThreadLog:
-    """Instance-level wrappers recording which thread ran each branch."""
+    """Wrappers recording which threads ran the qualifier and which
+    took part in a shared CNN branch.  Which thread runs which CNN
+    chunk depends on timing; that a worker took part does not."""
 
-    def __init__(self, pipeline) -> None:
-        self.threads: dict[str, set[str]] = {"cnn": set(), "qualifier": set()}
-        model, qualifier = pipeline.hybrid.model, pipeline.hybrid.qualifier
-        for owner, attribute, branch in (
-            (model, "forward", "cnn"),
-            (qualifier, "check_batch", "qualifier"),
-            (qualifier, "check", "qualifier"),
-        ):
-            setattr(owner, attribute,
-                    self._logged(branch, getattr(owner, attribute)))
+    def __init__(self, pipeline, monkeypatch) -> None:
+        self.threads: dict[str, set[str]] = {
+            "shared": set(), "qualifier": set()
+        }
+        qualifier = pipeline.hybrid.qualifier
+        for attribute in ("check_batch", "check"):
+            setattr(qualifier, attribute, self._logged(
+                "qualifier", getattr(qualifier, attribute)
+            ))
+        monkeypatch.setattr(hybrid._SharedForward, "run", self._logged(
+            "shared", hybrid._SharedForward.run
+        ))
 
     def _logged(self, branch, function):
         def logged(*args, **kwargs):
@@ -89,7 +96,11 @@ class _ThreadLog:
         return logged
 
     def overlapped(self) -> bool:
-        return not self.threads["cnn"] & self.threads["qualifier"]
+        """A worker joined the CNN branch while the calling thread alone
+        qualified."""
+        return len(self.threads["qualifier"]) == 1 and bool(
+            self.threads["shared"] - self.threads["qualifier"]
+        )
 
 
 class TestBlockedConvInference:
@@ -130,10 +141,12 @@ class TestBlockedConvInference:
 
 
 class TestOverlapParity:
-    @pytest.mark.parametrize("n", [FLOOR - 1, FLOOR, FLOOR + 3])
-    def test_stacked_views(self, n):
+    @pytest.mark.parametrize(
+        "n", [FLOOR - 1, FLOOR, FLOOR + 3, 2 * CHUNK + 3]
+    )
+    def test_stacked_views(self, n, monkeypatch):
         pipeline = _pipeline()
-        log = _ThreadLog(pipeline)
+        log = _ThreadLog(pipeline, monkeypatch)
         images = _images(n)
         views = _images(n, size=64)
         batch = pipeline.infer_batch(images, qualifier_views=views)
@@ -144,9 +157,9 @@ class TestOverlapParity:
         ])
 
     @pytest.mark.parametrize("n", [FLOOR - 1, FLOOR + 1])
-    def test_ragged_views(self, n):
+    def test_ragged_views(self, n, monkeypatch):
         pipeline = _pipeline()
-        log = _ThreadLog(pipeline)
+        log = _ThreadLog(pipeline, monkeypatch)
         images = _images(n)
         views = [
             render_sign(i % 8, size=48 if i % 2 else 64) for i in range(n)
@@ -165,6 +178,72 @@ class TestOverlapParity:
             pipeline.infer_batch(images),
             [pipeline.infer(image) for image in images],
         )
+
+    def test_each_chunk_runs_once_when_both_threads_claim(self):
+        """With an instant qualifier both threads claim chunks at once;
+        a lost or doubled claim would drop or repeat a chunk."""
+        pipeline = _pipeline()
+        n = 6 * CHUNK + 5
+        images = _images(n)
+        serial = [pipeline.infer(image) for image in images]
+        verdicts = [result.verdict for result in serial]
+        pipeline.hybrid.qualifier.check_batch = lambda views: verdicts
+        model = pipeline.hybrid.model
+        forward = model.forward
+        calls = []
+
+        def counted(x, training=False):
+            calls.append(threading.current_thread().name)
+            return forward(x, training=training)
+
+        model.forward = counted
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                calls.clear()
+                batch = pipeline.infer_batch(images)
+                assert len(calls) == -(-n // CHUNK)
+                assert_bitwise_parity(batch, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+    def test_calling_thread_takes_the_chunks_a_stalled_worker_left(self):
+        """The worker stalls in its first chunk until the calling thread
+        has run the rest of the branch; the results do not change."""
+        pipeline = _pipeline()
+        model = pipeline.hybrid.model
+        forward = model.forward
+        caller = threading.current_thread()
+        caller_chunks = []
+        caller_done = threading.Event()
+
+        def forward_stalling_the_worker(x, training=False):
+            if threading.current_thread() is caller:
+                caller_chunks.append(len(x))
+            else:
+                # The worker waits until the calling thread has run out
+                # of chunks, so it runs the first chunk at most.
+                assert caller_done.wait(timeout=60)
+            return forward(x, training=training)
+
+        run = hybrid._SharedForward.run
+
+        def run_then_release(shared):
+            run(shared)
+            if threading.current_thread() is caller:
+                caller_done.set()
+
+        n = 3 * CHUNK + 5
+        images = _images(n)
+        serial = [pipeline.infer(image) for image in images]
+        model.forward = forward_stalling_the_worker
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hybrid._SharedForward, "run", run_then_release)
+            batch = pipeline.infer_batch(images)
+        assert sum(caller_chunks) >= n - CHUNK
+        assert_bitwise_parity(batch, serial)
 
 
 class TestBranchErrors:
@@ -203,9 +282,9 @@ class TestBranchErrors:
             pipeline.infer_batch(_images(FLOOR))
         _assert_mode_off(model)
 
-    def test_server_books_a_model_error_as_failed(self):
+    def test_server_books_a_model_error_as_failed(self, monkeypatch):
         pipeline = _pipeline()
-        log = _ThreadLog(pipeline)
+        log = _ThreadLog(pipeline, monkeypatch)
         forward = pipeline.hybrid.model.forward
 
         def failing_forward(x, training=False):
